@@ -255,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     match.add_argument(
         "--workers", type=int, default=0, metavar="N",
         help="evaluate composite candidates in N worker processes "
-             "(composite mode only; budgeted runs stay serial)",
+             "(composite mode only; budgeted and --no-incremental runs "
+             "stay serial)",
     )
     match.add_argument(
         "--kernel", choices=("vectorized", "reference", "sparse", "compiled"),
@@ -275,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-incremental", action="store_true",
         help="disable the incremental composite engine (delta merges, "
              "warm-started fixpoints, estimation screening) and evaluate "
-             "every candidate from a cold start",
+             "every candidate from a cold start, in-process (--workers "
+             "is ignored)",
     )
     match.add_argument(
         "--no-best-first", action="store_true",

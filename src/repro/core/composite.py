@@ -35,7 +35,8 @@ from __future__ import annotations
 import dataclasses
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing import resource_tracker, shared_memory
 from typing import Callable
 
@@ -200,8 +201,41 @@ class _SideState:
     accepted: list[tuple[str, ...]]
 
 
+def _account_evaluation(
+    stats: CompositeStats,
+    evaluation: CandidateEvaluation | None,
+    screen_check: bool = False,
+) -> EMSResult | None:
+    """Fold one candidate's evaluation into *stats*; return its outcome.
+
+    Every evaluation — cold or incremental, serial or pool, fresh or
+    served from the evaluation cache — is accounted here.  *screen_check*
+    is true when the evaluation itself ran the estimation screen (the
+    best-first pass counts the checks it makes).  ``evaluation=None``
+    stands for a candidate whose metered fixpoint ran out of budget: it
+    was admitted past any screen, so it counts as evaluated, and nothing
+    else about it is known.
+    """
+    if screen_check:
+        stats.screen_checks += 1
+    if evaluation is None:
+        stats.candidates_evaluated += 1
+        return None
+    if evaluation.screened:
+        stats.candidates_screened += 1
+        return None
+    stats.candidates_evaluated += 1
+    stats.pairs_fixed += evaluation.pairs_fixed
+    if evaluation.outcome is None:
+        stats.evaluations_aborted += 1
+        return None
+    stats.pair_updates += evaluation.outcome.pair_updates
+    return evaluation.outcome
+
+
 # ----------------------------------------------------------------------
-# Candidate evaluation core — module-level so worker processes can run it
+# Cold candidate evaluation — the differential oracle of the incremental
+# path, selected by ``EMSConfig(incremental=False)``
 # ----------------------------------------------------------------------
 def _unchanged_pairs(
     merged_side: int,
@@ -209,14 +243,14 @@ def _unchanged_pairs(
     graph_merged: DependencyGraph,
     graph_other: DependencyGraph,
     directional: dict[str, SimilarityMatrix] | None,
-    use_unchanged: bool,
 ) -> tuple[dict[tuple[str, str], float] | None, dict[tuple[str, str], float] | None, int]:
     """Uc (Proposition 4): converged values the merge provably cannot change.
 
-    *graph_merged* is the merged side's graph **before** the merge.
+    *graph_merged* is the merged side's graph **before** the merge;
+    *directional* is ``None`` when the Uc pruning is off.
     Returns ``(fixed_forward, fixed_backward, pairs_fixed)``.
     """
-    if not use_unchanged or directional is None:
+    if directional is None:
         return None, None, 0
     new_name = composite_name(run)
     fixed: dict[str, dict[tuple[str, str], float]] = {}
@@ -238,6 +272,60 @@ def _unchanged_pairs(
         fixed[direction] = pairs
         count += len(pairs)
     return fixed.get("forward"), fixed.get("backward"), count
+
+
+def _evaluate_candidate(
+    states: tuple[_SideState, _SideState],
+    directional: dict[str, SimilarityMatrix] | None,
+    side_index: int,
+    run: tuple[str, ...],
+    abort_below: float,
+    *,
+    config: EMSConfig,
+    base_label: LabelSimilarity,
+    min_edge_frequency: float,
+    use_bounds: bool,
+    label_cache: LabelMatrixCache | None,
+    meter: BudgetMeter | None,
+    observer: Observer,
+) -> CandidateEvaluation:
+    """Similarity of the graphs after merging *run* on one side, cold.
+
+    Rewrites the log, rebuilds the merged graph from scratch and seeds
+    the Uc pairs from *directional* (the previous round's matrices, or
+    ``None`` with the pruning off).  The outcome is ``None`` when the Bd
+    bound proved the candidate cannot reach *abort_below*.
+    """
+    state, other = states[side_index], states[1 - side_index]
+    merged_log, merged_members = merge_run_in_log(state.log, run, state.members)
+    with observer.span("graph.build", merged=True, run=list(run)):
+        merged_graph = DependencyGraph.from_log(
+            merged_log, min_frequency=min_edge_frequency, members=merged_members
+        )
+    if side_index == 0:
+        members_pair = (merged_members, other.members)
+        graphs = (merged_graph, other.graph)
+    else:
+        members_pair = (other.members, merged_members)
+        graphs = (other.graph, merged_graph)
+    if isinstance(base_label, OpaqueSimilarity) or config.alpha == 1.0:
+        label: LabelSimilarity = base_label
+    else:
+        label = CompositeAwareSimilarity(base_label, *members_pair)
+    engine = EMSEngine(config, label, label_cache, observer=observer)
+    fixed_forward, fixed_backward, pairs_fixed = _unchanged_pairs(
+        side_index, run, state.graph, other.graph, directional
+    )
+    if use_bounds:
+        outcome = engine.similarity_with_abort(
+            graphs[0], graphs[1], abort_below, fixed_forward, fixed_backward,
+            meter=meter,
+        )
+    else:
+        outcome = engine.similarity(
+            graphs[0], graphs[1], fixed_forward, fixed_backward, meter=meter
+        )
+    return CandidateEvaluation(outcome=outcome, pairs_fixed=pairs_fixed, screened=False)
 
 
 # ----------------------------------------------------------------------
@@ -282,7 +370,7 @@ def _pack_directional(
 
     Returns ``(handle, block)``, or ``(None, None)`` when shared memory
     cannot be allocated (e.g. no writable segment directory) — callers
-    then fall back to pickling the matrices as before.
+    then pickle the matrices into every task instead.
     """
     reference = next(iter(directional.values()))
     rows, cols = reference.rows, reference.cols
@@ -342,7 +430,7 @@ def _release_shared_block(block: shared_memory.SharedMemory | None) -> None:
 
     Runs on every exit path of a parallel round — normal completion,
     budget exhaustion, ``WorkerPoolError`` after a crashed pool — so a
-    pool dying mid-round can no longer leak its ``/dev/shm`` segment.
+    pool dying mid-round does not leak its ``/dev/shm`` segment.
     """
     if block is None:
         return
@@ -365,93 +453,6 @@ def _resolve_directional(
     return directional
 
 
-#: Everything one candidate evaluation needs besides the candidate itself.
-#: Picklable, so a round's context ships to worker processes once (via the
-#: pool initializer) instead of once per candidate.
-@dataclass(frozen=True, slots=True)
-class _RoundContext:
-    config: EMSConfig
-    base_label: LabelSimilarity
-    min_edge_frequency: float
-    use_unchanged: bool
-    use_bounds: bool
-    #: Per side: (log, members, graph) — the round's pre-merge state.
-    sides: tuple[tuple[EventLog, dict[str, frozenset[str]], DependencyGraph], ...]
-    #: The previous round's matrices — a plain dict in-process, a
-    #: :class:`_SharedDirectional` handle when shipped to pool workers.
-    directional: dict[str, SimilarityMatrix] | _SharedDirectional | None
-    #: When True, pool workers trace their evaluations into local spans
-    #: and ship the fragments back for the parent to stitch (observers
-    #: themselves never cross the process boundary).
-    trace: bool = False
-    #: Chaos script shipped to workers; ``None`` in production runs.
-    faults: FaultPlan | None = None
-
-
-def _evaluate_candidate(
-    context: _RoundContext,
-    side_index: int,
-    run: tuple[str, ...],
-    abort_below: float,
-    label_cache: LabelMatrixCache | None = None,
-    meter: BudgetMeter | None = None,
-    observer: Observer | None = None,
-) -> tuple[EMSResult | None, int]:
-    """Similarity of the graphs after merging *run* on one side.
-
-    Returns ``(outcome, pairs_fixed)``; *outcome* is ``None`` when the Bd
-    bound proved the candidate cannot reach *abort_below*.
-    """
-    if observer is None:
-        observer = NULL_OBSERVER
-    log, members, graph = context.sides[side_index]
-    other_log, other_members, other_graph = context.sides[1 - side_index]
-    merged_log, merged_members = merge_run_in_log(log, run, members)
-    with observer.span("graph.build", merged=True, run=list(run)):
-        merged_graph = DependencyGraph.from_log(
-            merged_log, min_frequency=context.min_edge_frequency, members=merged_members
-        )
-    if side_index == 0:
-        members_pair = (merged_members, other_members)
-        graphs = (merged_graph, other_graph)
-    else:
-        members_pair = (other_members, merged_members)
-        graphs = (other_graph, merged_graph)
-    if isinstance(context.base_label, OpaqueSimilarity) or context.config.alpha == 1.0:
-        label: LabelSimilarity = context.base_label
-    else:
-        label = CompositeAwareSimilarity(context.base_label, *members_pair)
-    engine = EMSEngine(context.config, label, label_cache, observer=observer)
-    fixed_forward, fixed_backward, pairs_fixed = _unchanged_pairs(
-        side_index, run, graph, other_graph, context.directional, context.use_unchanged
-    )
-    if context.use_bounds:
-        outcome = engine.similarity_with_abort(
-            graphs[0], graphs[1], abort_below, fixed_forward, fixed_backward,
-            meter=meter,
-        )
-    else:
-        outcome = engine.similarity(
-            graphs[0], graphs[1], fixed_forward, fixed_backward, meter=meter
-        )
-    return outcome, pairs_fixed
-
-
-#: Per-process state of pool workers: the round context plus a label cache
-#: that persists across the round's candidates evaluated in this process.
-_WORKER_STATE: tuple[_RoundContext, LabelMatrixCache] | None = None
-
-
-def _init_worker(context: _RoundContext) -> None:
-    global _WORKER_STATE
-    if context.faults is not None:
-        context.faults.fire("worker.init", in_worker=True)
-    directional = _resolve_directional(context.directional)
-    if directional is not context.directional:
-        context = replace(context, directional=directional)
-    _WORKER_STATE = (context, LabelMatrixCache(context.config.label_cache_entries))
-
-
 def _worker_observer(trace: bool) -> Observer:
     """A per-task observer for a pool worker: local tracer or the null one.
 
@@ -463,32 +464,11 @@ def _worker_observer(trace: bool) -> Observer:
     return Observer(tracer=Tracer()) if trace else NULL_OBSERVER
 
 
-def _pool_evaluate(
-    task: tuple[int, tuple[str, ...], float, int, int]
-) -> tuple[int, tuple[str, ...], EMSResult | None, int, list[dict], int]:
-    assert _WORKER_STATE is not None, "pool worker used without _init_worker"
-    context, label_cache = _WORKER_STATE
-    side_index, run, abort_below, round_id, attempt = task
-    if context.faults is not None:
-        context.faults.fire(
-            "evaluate", in_worker=True,
-            round=round_id, side=side_index, run=run, attempt=attempt,
-        )
-    observer = _worker_observer(context.trace)
-    with observer.span("candidate.evaluate", side=side_index, run=list(run)):
-        outcome, pairs_fixed = _evaluate_candidate(
-            context, side_index, run, abort_below, label_cache, observer=observer
-        )
-    fragments = observer.tracer.export_fragments() if observer.tracing else []
-    return side_index, run, outcome, pairs_fixed, fragments, os.getpid()
-
-
-#: Per-process state of *incremental* pool workers.  Unlike the cold pool
-#: (re-created each round, full context per worker per round), this pool
-#: persists for the whole match: workers receive the base side states once
-#: at initialization and afterwards only the per-round delta — the list of
-#: accepted runs, which each worker replays through its own
-#: IncrementalSearchState, plus the round's directional matrices.
+#: Per-process state of pool workers.  The pool persists for the whole
+#: match: workers receive the base side states once at initialization and
+#: afterwards only the per-round delta — the list of accepted runs, which
+#: each worker replays through its own IncrementalSearchState, plus the
+#: round's directional matrices.
 _INC_WORKER: tuple[IncrementalSearchState, dict] | None = None
 
 
@@ -525,7 +505,7 @@ def _incremental_pool_evaluate(
         float,
         int,
     ]
-) -> tuple[int, tuple[str, ...], EMSResult | None, int, bool, list[dict], int]:
+) -> tuple[CandidateEvaluation, list[dict], int]:
     """Evaluate one candidate in a persistent incremental worker.
 
     *task* carries ``(round_id, history, directional, side_index, run,
@@ -562,10 +542,7 @@ def _incremental_pool_evaluate(
     with observer.span("candidate.evaluate", side=side_index, run=list(run)):
         evaluation = state.evaluate(side_index, run, abort_below)
     fragments = observer.tracer.export_fragments() if observer.tracing else []
-    return (
-        side_index, run, evaluation.outcome, evaluation.pairs_fixed,
-        evaluation.screened, fragments, os.getpid(),
-    )
+    return evaluation, fragments, os.getpid()
 
 
 class CompositeMatcher:
@@ -600,16 +577,20 @@ class CompositeMatcher:
         exhaustion raises :class:`~repro.exceptions.BudgetExhausted`.
     workers:
         Candidate evaluations per round run in this many worker processes
-        (``0``/``1`` = in-process, serial).  Waves of *workers* candidates
-        share the round's Bd incumbent bound, which is re-tightened
-        between waves from the results received so far.  The round's
-        directional similarity matrices travel through one
+        (``0``/``1`` = in-process, serial).  The pool lives for the whole
+        match; each worker keeps its own incremental search state and
+        replays accepted merges from the per-round delta.  Waves of
+        *workers* candidates share the round's Bd incumbent bound, which
+        is re-tightened between waves from the results received so far.
+        The round's directional similarity matrices travel through one
         ``multiprocessing.shared_memory`` block instead of being pickled
-        per worker; only candidate indices and per-round deltas cross the
-        process boundary (with a transparent pickling fallback where
-        shared memory is unavailable).  A budgeted run (``budget`` set)
-        always evaluates serially: cooperative cancellation needs the one
-        shared meter, which worker processes cannot charge.
+        per task (with a transparent pickling fallback where shared
+        memory is unavailable).  Two kinds of run always evaluate
+        serially, whatever *workers* says: a budgeted run (``budget``
+        set), because cooperative cancellation needs the one shared meter
+        that worker processes cannot charge; and a cold run
+        (``EMSConfig(incremental=False)``), which is the differential
+        oracle of the incremental evaluator.
     retry:
         :class:`~repro.runtime.RetryPolicy` for supervised execution.
         Pool runs are always supervised (respawn on crash, quarantine on
@@ -621,7 +602,7 @@ class CompositeMatcher:
         candidate exceeding it costs a pool respawn and a retry.
     faults:
         Deterministic :class:`~repro.runtime.FaultPlan` for chaos tests;
-        shipped to workers through the pool initializers.
+        shipped to workers through the pool initializer.
     checkpoints:
         Optional :class:`~repro.runtime.CheckpointManager`; accepted
         rounds are snapshotted at its cadence, keyed by the content hash
@@ -728,20 +709,24 @@ class CompositeMatcher:
             log, min_frequency=self.min_edge_frequency, members=members
         )
 
-    def _round_context(
-        self, states: tuple[_SideState, _SideState], current: EMSResult
-    ) -> _RoundContext:
-        return _RoundContext(
-            config=self.config,
-            base_label=self.base_label,
-            min_edge_frequency=self.min_edge_frequency,
-            use_unchanged=self.use_unchanged,
-            use_bounds=self.use_bounds,
-            sides=tuple((state.log, state.members, state.graph) for state in states),
-            directional=current.directional if self.use_unchanged else None,
-            trace=self.observer.tracing,
-            faults=self.faults,
-        )
+    def _accept(
+        self,
+        states: tuple[_SideState, _SideState],
+        incremental: IncrementalSearchState | None,
+        side_index: int,
+        run: tuple[str, ...],
+    ) -> None:
+        """Advance one side past an accepted merge and record the merge."""
+        state = states[side_index]
+        if incremental is not None:
+            state.log, state.members, state.graph = incremental.apply_accepted(
+                side_index, run
+            )
+        else:
+            state.log, state.members = merge_run_in_log(state.log, run, state.members)
+            state.graph = self._graph(state.log, state.members)
+        state.accepted.append(run)
+        self._accepted_history.append((side_index, run))
 
     # ------------------------------------------------------------------
     def match(self, log_first: EventLog, log_second: EventLog) -> CompositeMatchResult:
@@ -882,8 +867,10 @@ class CompositeMatcher:
         evaluated through an :class:`IncrementalSearchState` — delta count
         patches, patched levels, warm-started fixpoints and estimation
         screening — producing the same trajectory and scores as the cold
-        path.  ``config.incremental = False`` (the ``--no-incremental``
-        escape hatch) restores the full-rebuild evaluation.
+        path, in-process or on a worker pool.  ``config.incremental =
+        False`` (``--no-incremental``) runs the full-rebuild evaluation
+        instead, always in-process: it is the differential oracle the
+        incremental path is tested against.
 
         A *snapshot* (from :class:`~repro.runtime.CheckpointManager`)
         fast-forwards the loop: its accepted-merge history is replayed
@@ -911,7 +898,9 @@ class CompositeMatcher:
                 return current
         obs = self.observer
         supervised: SupervisedPool | None = None
-        pool_history: list[tuple[int, tuple[str, ...]]] = []
+        # Length of the accepted history when the pool was seeded; the
+        # merges after it are the delta every pool task carries.
+        pool_base = 0
         supervise_serial = self.retry is not None or self.faults is not None
         try:
             while True:
@@ -940,21 +929,19 @@ class CompositeMatcher:
                             tasks.append((side_index, run))
                     round_span.attributes["candidates"] = len(tasks)
 
-                    if self.workers > 1 and meter is None and len(tasks) > 1:
-                        if incremental is not None:
-                            if supervised is None:
-                                supervised = self._incremental_supervised_pool(
-                                    states
-                                )
-                                pool_history = []
-                            best, best_average = self._round_parallel_incremental(
-                                tasks, current, stats, target, best_average,
-                                supervised, tuple(pool_history),
-                            )
-                        else:
-                            best, best_average = self._round_parallel(
-                                tasks, states, current, stats, target, best_average
-                            )
+                    if (
+                        self.workers > 1
+                        and incremental is not None
+                        and meter is None
+                        and len(tasks) > 1
+                    ):
+                        if supervised is None:
+                            supervised = self._incremental_supervised_pool(states)
+                            pool_base = len(self._accepted_history)
+                        best, best_average = self._round_parallel_incremental(
+                            tasks, current, stats, target, best_average,
+                            supervised, tuple(self._accepted_history[pool_base:]),
+                        )
                     else:
                         best, best_average = self._round_serial(
                             tasks, incremental, states, current, stats,
@@ -975,21 +962,7 @@ class CompositeMatcher:
                     round_span.attributes["accepted"] = list(run)
                     round_span.attributes["average"] = best_average
                     obs.count("composite_merges_accepted_total")
-                    state = states[side_index]
-                    if incremental is not None:
-                        state.log, state.members, state.graph = (
-                            incremental.apply_accepted(side_index, run)
-                        )
-                    else:
-                        merged_log, merged_members = merge_run_in_log(
-                            state.log, run, state.members
-                        )
-                        state.log = merged_log
-                        state.members = merged_members
-                        state.graph = self._graph(merged_log, merged_members)
-                    state.accepted.append(run)
-                    pool_history.append((side_index, run))
-                    self._accepted_history.append((side_index, run))
+                    self._accept(states, incremental, side_index, run)
                     current = outcome
                     self._flush_checkpoint(stats, current)
         finally:
@@ -1065,6 +1038,7 @@ class CompositeMatcher:
         ties resolve to the lowest original position, which is exactly
         the candidate the static strict-improvement scan would have kept.
         """
+        directional = current.directional if self.use_unchanged else None
         best: tuple[int, tuple[str, ...], EMSResult] | None = None
         best_position = -1
         order = list(range(len(tasks)))
@@ -1089,25 +1063,17 @@ class CompositeMatcher:
                 # remaining candidate is provably below the incumbent too.
                 stats.candidates_screened += len(order) - rank
                 break
-            screen_bound = bounds[position] if bounds is not None else None
+            evaluate = partial(
+                self._evaluate, incremental, states, directional,
+                side_index, run, stats, max(best_average, target), meter,
+                screen_bound=bounds[position] if bounds is not None else None,
+            )
             if supervise_serial:
                 outcome = self._evaluate_serial_supervised(
-                    incremental, side_index, run, states, current, stats,
-                    abort_below=max(best_average, target),
-                    meter=meter, screen_bound=screen_bound,
-                )
-            elif incremental is not None:
-                outcome = self._evaluate_incremental(
-                    incremental, side_index, run, stats,
-                    abort_below=max(best_average, target),
-                    meter=meter, screen_bound=screen_bound,
+                    evaluate, side_index, run, stats.rounds
                 )
             else:
-                outcome = self._evaluate(
-                    side_index, run, states, current, stats,
-                    abort_below=max(best_average, target),
-                    meter=meter,
-                )
+                outcome = evaluate()
             if outcome is None:
                 continue
             average = outcome.matrix.average()
@@ -1146,109 +1112,72 @@ class CompositeMatcher:
 
     def _evaluate(
         self,
-        side_index: int,
-        run: tuple[str, ...],
+        incremental: IncrementalSearchState | None,
         states: tuple[_SideState, _SideState],
-        current: EMSResult,
-        stats: CompositeStats,
-        abort_below: float,
-        meter: BudgetMeter | None = None,
-    ) -> EMSResult | None:
-        """Similarity of the graphs after merging *run* on one side (serial)."""
-        key = hit = None
-        if meter is None:
-            key, hit = self._cached_evaluation(side_index, run, abort_below)
-        stats.candidates_evaluated += 1
-        if hit is not None:
-            outcome, pairs_fixed = hit.outcome, hit.pairs_fixed
-        else:
-            with self.observer.span(
-                "candidate.evaluate", side=side_index, run=list(run)
-            ):
-                outcome, pairs_fixed = _evaluate_candidate(
-                    self._round_context(states, current), side_index, run,
-                    abort_below, self._label_cache, meter,
-                    observer=self.observer,
-                )
-            if key is not None:
-                self.eval_cache.store(
-                    key,
-                    CandidateEvaluation(
-                        outcome=outcome, pairs_fixed=pairs_fixed, screened=False
-                    ),
-                )
-        stats.pairs_fixed += pairs_fixed
-        if outcome is None:
-            stats.evaluations_aborted += 1
-            return None
-        stats.pair_updates += outcome.pair_updates
-        return outcome
-
-    def _evaluate_incremental(
-        self,
-        incremental: IncrementalSearchState,
+        directional: dict[str, SimilarityMatrix] | None,
         side_index: int,
         run: tuple[str, ...],
         stats: CompositeStats,
         abort_below: float,
-        meter: BudgetMeter | None = None,
-        screen_bound: float | None = None,
+        meter: BudgetMeter | None,
+        screen_bound: float | None,
     ) -> EMSResult | None:
-        """Incremental counterpart of :meth:`_evaluate` (same accounting).
+        """Score merging *run* on one side in-process; account it in *stats*.
 
+        The candidate is served from the evaluation cache when possible,
+        else scored by *incremental* or, on a cold run, by
+        :func:`_evaluate_candidate` over *states* and *directional*.
         *screen_bound* is the candidate's precomputed bound on the
-        best-first path; its screen check was already counted when the
-        bound was computed, so only the static path counts one here.
+        best-first path, whose screen check the bound pass already
+        counted.  A candidate whose fixpoint exhausts the budget meter
+        still counts as evaluated before the exhaustion propagates.
         """
-        screening_active = self.config.screening and meter is None
         key = hit = None
         if meter is None:
             key, hit = self._cached_evaluation(side_index, run, abort_below)
-        if not screening_active:
-            # Mirror the cold path: the candidate counts as evaluated even
-            # if the budget meter raises mid-fixpoint.  (Screening cannot
-            # raise — it is only active without a meter — so with screening
-            # on the count can safely wait for the screen verdict.)
-            stats.candidates_evaluated += 1
-        elif screen_bound is None:
-            stats.screen_checks += 1
-        if hit is not None:
-            evaluation = hit
-        else:
-            with self.observer.span(
-                "candidate.evaluate", side=side_index, run=list(run)
-            ):
-                evaluation = incremental.evaluate(
-                    side_index, run, abort_below, meter,
-                    screen_bound=screen_bound,
-                )
+        evaluation = hit
+        if evaluation is None:
+            try:
+                with self.observer.span(
+                    "candidate.evaluate", side=side_index, run=list(run)
+                ):
+                    if incremental is not None:
+                        evaluation = incremental.evaluate(
+                            side_index, run, abort_below, meter,
+                            screen_bound=screen_bound,
+                        )
+                    else:
+                        evaluation = _evaluate_candidate(
+                            states, directional, side_index, run, abort_below,
+                            config=self.config,
+                            base_label=self.base_label,
+                            min_edge_frequency=self.min_edge_frequency,
+                            use_bounds=self.use_bounds,
+                            label_cache=self._label_cache,
+                            meter=meter,
+                            observer=self.observer,
+                        )
+            except BudgetExhausted:
+                _account_evaluation(stats, None)
+                raise
             if key is not None:
                 self.eval_cache.store(key, evaluation)
-        if evaluation.screened:
-            stats.candidates_screened += 1
-            return None
-        if screening_active:
-            stats.candidates_evaluated += 1
-        stats.pairs_fixed += evaluation.pairs_fixed
-        if evaluation.outcome is None:
-            stats.evaluations_aborted += 1
-            return None
-        stats.pair_updates += evaluation.outcome.pair_updates
-        return evaluation.outcome
+        screen_check = (
+            incremental is not None
+            and self.config.screening
+            and meter is None
+            and screen_bound is None
+        )
+        return _account_evaluation(stats, evaluation, screen_check)
 
     def _evaluate_serial_supervised(
         self,
-        incremental: IncrementalSearchState | None,
+        evaluate: Callable[[], EMSResult | None],
         side_index: int,
         run: tuple[str, ...],
-        states: tuple[_SideState, _SideState],
-        current: EMSResult,
-        stats: CompositeStats,
-        abort_below: float,
-        meter: BudgetMeter | None = None,
-        screen_bound: float | None = None,
+        round_id: int,
     ) -> EMSResult | None:
-        """Serial evaluation under :func:`~repro.runtime.run_supervised`.
+        """One serial *evaluate* call under :func:`~repro.runtime.run_supervised`.
 
         Active only when a retry policy or fault plan was configured, so
         the default serial path pays nothing.  Transient failures are
@@ -1261,23 +1190,16 @@ class CompositeMatcher:
         def call(attempt: int) -> EMSResult | None:
             if self.faults is not None:
                 self.faults.fire(
-                    "evaluate", round=stats.rounds,
+                    "evaluate", round=round_id,
                     side=side_index, run=run, attempt=attempt,
                 )
-            if incremental is not None:
-                return self._evaluate_incremental(
-                    incremental, side_index, run, stats, abort_below, meter,
-                    screen_bound=screen_bound,
-                )
-            return self._evaluate(
-                side_index, run, states, current, stats, abort_below, meter
-            )
+            return evaluate()
 
         value, record = run_supervised(
             call,
             policy=self.retry if self.retry is not None else RetryPolicy(),
             describe=lambda: (side_index, run),
-            round=stats.rounds,
+            round=round_id,
             config_hash=self._content_key,
             observer=self.observer,
             stats=self._supervision,
@@ -1297,27 +1219,14 @@ class CompositeMatcher:
         stats: CompositeStats,
         incremental: IncrementalSearchState | None,
     ) -> None:
-        """Fast-forward *states*/*stats* to a checkpointed round boundary."""
-        history = tuple(
-            (side_index, tuple(run)) for side_index, run in snapshot.history
-        )
-        if incremental is not None:
-            finals = incremental.fast_forward(history)
-            for side_index, (log, members, graph) in enumerate(finals):
-                state = states[side_index]
-                state.log, state.members, state.graph = log, members, graph
-        else:
-            for side_index, run in history:
-                state = states[side_index]
-                merged_log, merged_members = merge_run_in_log(
-                    state.log, run, state.members
-                )
-                state.log = merged_log
-                state.members = merged_members
-                state.graph = self._graph(merged_log, merged_members)
-        for side_index, run in history:
-            states[side_index].accepted.append(run)
-            self._accepted_history.append((side_index, run))
+        """Fast-forward *states*/*stats* to a checkpointed round boundary.
+
+        The snapshot records only the ``(side, run)`` merge sequence;
+        replaying it through the same accept step that produced it
+        rebuilds bit-identical side states.
+        """
+        for side_index, run in snapshot.history:
+            self._accept(states, incremental, side_index, tuple(run))
         # The snapshot's counters already include everything up to its
         # round — including the initial similarity this run recomputed —
         # so adopt them wholesale for bit-identical final stats.
@@ -1325,7 +1234,7 @@ class CompositeMatcher:
             setattr(stats, spec.name, getattr(snapshot.stats, spec.name))
         self.observer.info(
             "resumed composite search at round %d (%d accepted merge(s))",
-            snapshot.rounds, len(history),
+            snapshot.rounds, len(snapshot.history),
         )
 
     def _interrupt_requested(self, next_round: int) -> str | None:
@@ -1407,34 +1316,10 @@ class CompositeMatcher:
         pool.stats = self._supervision
         return pool
 
-    def _cold_supervised_pool(self, context: _RoundContext) -> SupervisedPool:
-        """A round-lifetime supervised pool for the full-rebuild path."""
-        workers = self.workers
-
-        def factory() -> ProcessPoolExecutor:
-            return ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_worker, initargs=(context,)
-            )
-
-        pool = SupervisedPool(
-            factory,
-            _pool_evaluate,
-            payload=lambda task, attempt: task + (attempt,),
-            describe=lambda task: (task[0], task[1]),
-            policy=self.retry,
-            task_timeout=self.task_timeout,
-            observer=self.observer,
-            config_hash=self._content_key,
-        )
-        pool.stats = self._supervision
-        return pool
-
     def _note_shared_memory_fallback(self) -> None:
-        """Surface a shared-memory → pickling degradation (satellite fix).
+        """Log and count a round whose matrices fall back to pickling.
 
-        Historically this fallback was silent; now it is logged through
-        the bridge and counted so operators can see rounds paying the
-        per-worker pickling cost.
+        Operators can then see rounds paying the per-task pickling cost.
         """
         _logger.warning(
             "shared-memory transport unavailable; pickling the round's "
@@ -1474,33 +1359,6 @@ class CompositeMatcher:
                 keys[index] = key
         return hits, keys
 
-    def _account_candidate(
-        self,
-        stats: CompositeStats,
-        side_index: int,
-        run: tuple[str, ...],
-        evaluation: CandidateEvaluation,
-        best: tuple[int, tuple[str, ...], EMSResult] | None,
-        best_average: float,
-        count_screen: bool,
-    ) -> tuple[tuple[int, tuple[str, ...], EMSResult] | None, float]:
-        """Fold one wave evaluation — fresh or cached — into the round state."""
-        if count_screen:
-            stats.screen_checks += 1
-        if evaluation.screened:
-            stats.candidates_screened += 1
-            return best, best_average
-        stats.candidates_evaluated += 1
-        stats.pairs_fixed += evaluation.pairs_fixed
-        if evaluation.outcome is None:
-            stats.evaluations_aborted += 1
-            return best, best_average
-        stats.pair_updates += evaluation.outcome.pair_updates
-        average = evaluation.outcome.matrix.average()
-        if average > best_average:
-            return (side_index, run, evaluation.outcome), average
-        return best, best_average
-
     def _round_parallel_incremental(
         self,
         tasks: list[tuple[int, tuple[str, ...]]],
@@ -1515,10 +1373,9 @@ class CompositeMatcher:
 
         Tasks carry only the per-round delta — the accepted-run *history*
         (replayed by workers that have not caught up) and the round's
-        directional matrices — instead of the full round context the cold
-        pool re-pickles every round.  The matrices themselves travel
-        through one shared-memory block per round (see
-        :class:`_SharedDirectional`); each task pickles only the handle.
+        directional matrices.  The matrices themselves travel through one
+        shared-memory block per round (see :class:`_SharedDirectional`);
+        each task pickles only the handle.
         The supervisor returns wave outcomes in submission order, which
         matches the serial candidate order, so the selected best
         candidate is the one the serial loop would pick; quarantined
@@ -1540,7 +1397,6 @@ class CompositeMatcher:
                 "workers.dispatch",
                 workers=self.workers,
                 tasks=len(tasks),
-                incremental=True,
                 shared_memory=handle is not None,
             ):
                 for start in range(0, len(tasks), self.workers):
@@ -1564,113 +1420,24 @@ class CompositeMatcher:
                             if entry.quarantined is not None:
                                 self._quarantined.append(entry.quarantined)
                                 continue
-                            (
-                                side_index, run, outcome, pairs_fixed,
-                                screened, fragments, worker_pid,
-                            ) = entry.value
+                            evaluation, fragments, worker_pid = entry.value
                             if fragments and obs.tracing:
                                 obs.tracer.adopt(fragments, tid=worker_pid)
-                            evaluation = CandidateEvaluation(
-                                outcome=outcome, pairs_fixed=pairs_fixed,
-                                screened=screened,
-                            )
                             key = miss_keys.get(index)
                             if key is not None:
                                 self.eval_cache.store(key, evaluation)
-                        best, best_average = self._account_candidate(
-                            stats, side_index, run, evaluation,
-                            best, best_average,
-                            count_screen=self.config.screening,
+                        outcome = _account_evaluation(
+                            stats, evaluation, self.config.screening
                         )
+                        if outcome is not None:
+                            average = outcome.matrix.average()
+                            if average > best_average:
+                                best = (side_index, run, outcome)
+                                best_average = average
         finally:
             # The segment must outlive any mid-round pool respawn (new
             # workers re-attach to evaluate retried candidates), so it is
             # only reclaimed here, when the round is over — including on
-            # the WorkerPoolError path, which is what used to leak it.
-            _release_shared_block(block)
-        return best, best_average
-
-    def _round_parallel(
-        self,
-        tasks: list[tuple[int, tuple[str, ...]]],
-        states: tuple[_SideState, _SideState],
-        current: EMSResult,
-        stats: CompositeStats,
-        target: float,
-        best_average: float,
-    ) -> tuple[tuple[int, tuple[str, ...], EMSResult] | None, float]:
-        """Evaluate one round's candidates in a process pool.
-
-        Candidates go out in waves of ``workers``; every wave shares the
-        tightest Bd incumbent bound known when it is submitted, so later
-        waves abort hopeless candidates as aggressively as the serial
-        loop would.  The round context ships once per worker via the pool
-        initializer, with the directional matrices riding in one
-        shared-memory block (see :class:`_SharedDirectional`) so the
-        initializer payload pickles only a handle.
-        """
-        obs = self.observer
-        context = self._round_context(states, current)
-        handle = block = None
-        if context.directional:
-            handle, block = _pack_directional(context.directional)
-            if handle is not None:
-                context = replace(context, directional=handle)
-            else:
-                self._note_shared_memory_fallback()
-        round_id = stats.rounds
-        best: tuple[int, tuple[str, ...], EMSResult] | None = None
-        supervised = self._cold_supervised_pool(context)
-        try:
-            with obs.span(
-                "workers.dispatch",
-                workers=self.workers,
-                tasks=len(tasks),
-                incremental=False,
-                shared_memory=handle is not None,
-            ):
-                for start in range(0, len(tasks), self.workers):
-                    wave = tasks[start:start + self.workers]
-                    bound = max(best_average, target)
-                    hits, miss_keys = self._wave_cache_hits(wave, bound)
-                    pending = [i for i in range(len(wave)) if i not in hits]
-                    outcomes = supervised.run_wave(
-                        [
-                            (*wave[i], bound, round_id)
-                            for i in pending
-                        ],
-                        round=round_id,
-                    )
-                    by_index = dict(zip(pending, outcomes))
-                    for index in range(len(wave)):
-                        side_index, run = wave[index]
-                        evaluation = hits.get(index)
-                        if evaluation is None:
-                            entry = by_index[index]
-                            if entry.quarantined is not None:
-                                self._quarantined.append(entry.quarantined)
-                                continue
-                            (
-                                side_index, run, outcome, pairs_fixed,
-                                fragments, worker_pid,
-                            ) = entry.value
-                            if fragments and obs.tracing:
-                                obs.tracer.adopt(fragments, tid=worker_pid)
-                            evaluation = CandidateEvaluation(
-                                outcome=outcome, pairs_fixed=pairs_fixed,
-                                screened=False,
-                            )
-                            key = miss_keys.get(index)
-                            if key is not None:
-                                self.eval_cache.store(key, evaluation)
-                        best, best_average = self._account_candidate(
-                            stats, side_index, run, evaluation,
-                            best, best_average, count_screen=False,
-                        )
-        finally:
-            # Shut the round's pool down before reclaiming the segment:
-            # workers (including respawned ones) may attach to it right
-            # up until they are joined.
-            supervised.shutdown()
+            # the WorkerPoolError path.
             _release_shared_block(block)
         return best, best_average

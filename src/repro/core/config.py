@@ -27,7 +27,11 @@ One dataclass gathers every knob the paper exposes:
   vectorized fallback otherwise, with a one-time logged warning), and
   ``"reference"`` is the straightforward per-pair loop the other
   kernels are differentially tested against.  All of them produce the
-  same similarities, ``iterations`` and ``pair_updates``.
+  same ``iterations`` and ``pair_updates``.  Similarities are bitwise
+  reproducible within one kernel and dtype; ``"vectorized"`` is
+  bitwise equal to ``"reference"``, while
+  ``"sparse"`` sums in another order and agrees only within the
+  ``ATOL`` of ``tests/core/test_sparse_kernel_equivalence.py``.
 * ``dtype`` — floating-point width of the similarity computation.
   ``"float64"`` (default) is exact against the reference kernel;
   ``"float32"`` halves the memory of every value/agreement buffer at a
@@ -70,11 +74,13 @@ class EMSConfig:
     #: (Definition 2's second ingredient).  Keep True outside ablations.
     use_edge_weights: bool = True
     #: Which fixpoint implementation evaluates formula (1); see module
-    #: docstring.  Results are identical — "reference" exists for
-    #: differential testing and as a readable spec of the computation,
-    #: "sparse" trades a little arithmetic for O(chunk) working memory,
-    #: "compiled" runs the bucketed loops through numba when available
-    #: (vectorized fallback otherwise).
+    #: docstring for the determinism contract (bitwise within a kernel
+    #: and dtype, "vectorized" bitwise equal to "reference", "sparse"
+    #: within a tolerance).  "reference" exists for differential testing
+    #: and as a readable spec of the computation, "sparse" trades a
+    #: little arithmetic for O(chunk) working memory, "compiled" runs the
+    #: bucketed loops through numba when available (vectorized fallback
+    #: otherwise).
     kernel: Kernel = "vectorized"
     #: Floating-point width of the similarity computation ("float64" or
     #: "float32"); see module docstring.
@@ -84,8 +90,10 @@ class EMSConfig:
     #: rewritten log, and the fixpoint warm-starts from the parent round's
     #: converged matrices (Proposition 4 in array form).  Trajectories and
     #: scores are identical to the cold path (the differential property
-    #: suite holds this to 1e-12); False restores the cold path — the
-    #: ``--no-incremental`` escape hatch.
+    #: suite holds this to 1e-12).  False selects the cold path — the
+    #: ``--no-incremental`` differential oracle — which always evaluates
+    #: in-process: a cold run never starts a worker pool, whatever
+    #: ``CompositeMatcher(workers=...)`` says.
     incremental: bool = True
     #: Estimation-bound candidate screening (Section 3.5 as a filter):
     #: before the exact evaluation, a candidate whose closed-form upper

@@ -99,10 +99,11 @@ class IncrementalSearchState:
     Lifecycle: :meth:`reset` once per match with the initial side states,
     :meth:`begin_round` at the top of every greedy round with the current
     result's directional matrices, :meth:`evaluate` per candidate, and
-    :meth:`apply_accepted` when a round accepts a merge.  The same object
-    runs inside pool workers, which replay accepted merges from the task
-    history to stay in lockstep with the parent (see
-    ``_incremental_pool_evaluate`` in :mod:`repro.core.composite`).
+    :meth:`apply_accepted` when a round accepts a merge (or when a
+    checkpointed search replays its history).  The same object serves
+    the in-process loop and every pool worker; a worker replays accepted
+    merges from the task history to stay in lockstep with the parent
+    (see ``_incremental_pool_evaluate`` in :mod:`repro.core.composite`).
     """
 
     def __init__(
@@ -198,7 +199,8 @@ class IncrementalSearchState:
     ) -> CandidateEvaluation:
         """Score merging *run* on one side, incrementally.
 
-        Mirrors ``_evaluate_candidate`` step for step — same graphs, same
+        Mirrors the cold oracle ``_evaluate_candidate`` of
+        :mod:`repro.core.composite` step for step — same graphs, same
         fixed pairs, same engine calls — so results are interchangeable
         with the cold path.  *screen_bound* short-circuits the screening
         recomputation when the caller already holds this candidate's
@@ -277,23 +279,6 @@ class IncrementalSearchState:
         side.counts = delta.counts
         side.index.apply(delta)
         return side.log, side.members, side.graph
-
-    def fast_forward(
-        self, history: tuple[tuple[int, tuple[str, ...]], ...]
-    ) -> list[tuple[EventLog, dict[str, frozenset[str]], DependencyGraph]]:
-        """Replay an accepted-merge *history* after :meth:`reset`.
-
-        Used to restore a checkpointed search: the snapshot records only
-        the ``(side, run)`` merge sequence, and replaying it through the
-        same :meth:`apply_accepted` machinery that produced it rebuilds
-        bit-identical side states.  Returns the final per-side states in
-        side order.
-        """
-        for side_index, run in history:
-            self.apply_accepted(side_index, tuple(run))
-        return [
-            (side.log, side.members, side.graph) for side in self._sides
-        ]
 
     # ------------------------------------------------------------------
     # Warm starts (Proposition 4 in array form)

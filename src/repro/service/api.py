@@ -53,6 +53,10 @@ def make_handler(service) -> type[BaseHTTPRequestHandler]:
         # Keep connections simple and short-lived; the interesting
         # concurrency lives in the scheduler, not the socket layer.
         protocol_version = "HTTP/1.1"
+        # Headers and body go out in separate writes; with Nagle's
+        # algorithm on, the body of every kept-alive response after the
+        # first waits for the client's delayed ACK (~40 ms).
+        disable_nagle_algorithm = True
 
         # ------------------------------------------------------------------
         def do_GET(self) -> None:  # noqa: N802 - http.server API

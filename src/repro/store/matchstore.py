@@ -71,9 +71,12 @@ def matrix_content_key(
     Keys on everything that determines the matrix values: the two counts
     keys (which already encode file content, format and parse mode), the
     graph threshold, the label scorer, and every ``EMSConfig`` knob the
-    fixpoint reads — including ``kernel`` and ``dtype``, conservatively:
-    kernels are pinned bit-identical by the differential suites, but a
-    distinct row per kernel can only cost a miss, never a wrong answer.
+    fixpoint reads — including ``kernel`` and ``dtype``: results are
+    bitwise reproducible only within one kernel and dtype.
+    ``vectorized`` is bitwise equal to ``reference``, but ``sparse``
+    agrees only within the ``ATOL`` of
+    ``tests/core/test_sparse_kernel_equivalence.py``, so a row per kernel
+    keeps a stored matrix bit-identical to a fresh computation.
     ``threshold`` is *not* part of the key; it filters pairs after the
     assignment and never touches matrix values.  Floats go through
     ``repr`` so equal values — and only equal values — share a row.

@@ -218,6 +218,32 @@ class TestParallelEvaluation:
             parallel.matrix.values, serial.matrix.values, rtol=0, atol=1e-12
         )
 
+    def test_cold_run_with_workers_stays_serial(self, fig1_logs, monkeypatch):
+        """``incremental=False`` is the serial oracle whatever ``workers`` says."""
+        import dataclasses
+
+        import numpy as np
+
+        import repro.core.composite as composite_module
+
+        # Looser discovery than KNOBS: 14 and 12 candidates in the two
+        # rounds, so a pooled run would dispatch them to workers.
+        knobs = dict(delta=0.005, min_confidence=0.5, max_run_length=3)
+        config = EMSConfig(incremental=False, screening=False)
+        serial = CompositeMatcher(config, workers=0, **knobs).match(*fig1_logs)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a cold run must not start a worker pool")
+
+        monkeypatch.setattr(composite_module, "ProcessPoolExecutor", no_pool)
+        pooled = CompositeMatcher(config, workers=2, **knobs).match(*fig1_logs)
+        assert pooled.accepted_first == serial.accepted_first
+        assert pooled.accepted_second == serial.accepted_second
+        assert pooled.members_first == serial.members_first
+        assert pooled.members_second == serial.members_second
+        assert dataclasses.asdict(pooled.stats) == dataclasses.asdict(serial.stats)
+        np.testing.assert_array_equal(pooled.matrix.values, serial.matrix.values)
+
     def test_workers_validated(self):
         with pytest.raises(ValueError):
             CompositeMatcher(workers=-1)

@@ -52,6 +52,27 @@ class TestRoutes:
             text = response.read().decode()
         assert text.endswith("\n")
 
+    def test_keepalive_requests_do_not_stall(self, service):
+        import http.client
+        import statistics
+
+        connection = http.client.HTTPConnection(
+            service.host, service.port, timeout=30
+        )
+        try:
+            round_trips = []
+            for _ in range(10):
+                started = time.perf_counter()
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                response.read()
+                round_trips.append(time.perf_counter() - started)
+                assert response.status == 200
+        finally:
+            connection.close()
+        # A Nagle / delayed-ACK stall costs ~40 ms per kept-alive request.
+        assert statistics.median(round_trips) < 0.020
+
     def test_unknown_route_404(self, base):
         status, document = http("GET", f"{base}/nope")
         assert status == 404
